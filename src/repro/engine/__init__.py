@@ -1,12 +1,9 @@
-"""Parallel solve-plan engine — declarative task scheduling.
+"""Solve-plan engine — declarative task scheduling.
 
-The paper's eq.-(18) decoupling exists precisely so that the H2 machinery
-splits into independent LTI subsystems whose Krylov chains and per-shift
-resolvent solves have no data dependencies.  This package turns that
-observation into infrastructure: instead of running their embarrassingly
-parallel work as inline serial loops, the hot fan-out layers *emit plans*
-— flat lists of independent tasks — and hand them to a pluggable
-executor.
+The paper's eq.-(18) decoupling splits the H2 machinery into independent
+LTI subsystems whose Krylov chains and per-shift resolvent solves have
+no data dependencies.  The fan-out layers express that work as *plans*
+— flat lists of independent tasks — and hand them to an executor.
 
 Architecture
 ------------
@@ -15,28 +12,17 @@ Architecture
   that need to regroup results).
 * :class:`~repro.engine.plan.SolvePlan` — an ordered list of tasks.
   ``plan.execute()`` runs every task and returns their results **in
-  submission order**, whatever the backend, so callers assemble outputs
-  deterministically.
-* :class:`~repro.engine.executor.SerialExecutor` — the default backend:
-  a plain in-order loop, bit-identical to the historical inline code.
-* :class:`~repro.engine.executor.ThreadPoolExecutor` — a persistent
-  thread-pool backend.  Threads are the right vehicle here because the
-  heavy kernels (LAPACK triangular solves, BLAS GEMMs, SuperLU
-  factorizations) release the GIL; the Python-level task bookkeeping is
-  a rounding error against the numerical work.
-* :class:`~repro.engine.process.ProcessPoolBackend` — a persistent
-  process-pool backend for the Python-heavy stages the GIL serializes
-  (per-point distortion metrics, H3 assembly).  Tasks opt in by
-  carrying a :class:`~repro.engine.process.ProcessSpec` (module-level
-  function + codec-serializable payload); large operands ship through
-  ref-counted shared-memory segments (:mod:`repro.engine.shm`), workers
-  pin their BLAS pools to one thread, and tasks without a spec run
-  inline in the parent — every plan stays correct under every backend.
+  submission order**, wraps task failures in
+  :class:`~repro.errors.TaskError`, retries transient failures up to
+  ``REPRO_TASK_RETRIES`` times, and polls an optional ``cancel`` hook
+  between tasks.
+* :class:`~repro.engine.executor.SerialExecutor` — the backend: a plain
+  in-order loop.
 
 Which layers emit plans
 -----------------------
 * ``linalg.ResolventFactory.solve_many`` — per-shift batches (frequency
-  grids) are chunked across workers.
+  grids).
 * ``volterra.AssociatedWorkspace`` consumers: the per-subsystem /
   per-expansion-point Krylov chains of
   ``AssociatedRealization.moment_vectors``, ``DecoupledH2Realization``
@@ -46,37 +32,14 @@ Which layers emit plans
 * ``analysis.distortion_sweep``, ``volterra.frequency_sweep`` and
   ``systems.StateSpace.frequency_response`` — whole frequency grids.
 
-Picking a backend
------------------
-The backend is global and serial by default::
-
-    import repro.engine as engine
-    engine.configure(workers=4)                      # threads
-    engine.configure(workers="auto")                 # max(1, cpu-1) threads
-    engine.configure(workers=4, backend="process")   # process pool
-    engine.configure(workers=1)                      # back to serial
-    with engine.using(workers=4):                    # scoped (tests, benches)
-        ...
-    with engine.using(backend="process"):            # auto-sized process pool
-        ...
-
-or, without touching code, via the environment::
-
-    REPRO_WORKERS=4 python my_analysis.py
-    REPRO_WORKERS=auto python my_analysis.py
-    REPRO_BACKEND=process REPRO_WORKERS=4 python my_analysis.py
-
-``engine.worker_stats()`` reports the resolved backend (``{"backend",
-"workers", "requested", "cpu_count", "shm_*", ...}``) so scripts can log
-what ``"auto"`` actually resolved to on the host and attribute work per
-backend.
-
-Parallel and serial backends agree to rounding (each task performs the
-same floating-point operations on the same data; only the wall-clock
-interleaving changes), which the test suite asserts at ``<= 1e-10``.
-Nested plans (a task that itself emits a plan) degrade to in-line serial
-execution on the worker thread, so composition can never deadlock the
-pool.
+Why serial only
+---------------
+Thread and process backends were measured on a 2-core host against
+the benchmark's own jobs and gained nothing end to end (0.73–1.00×), so
+they were removed.  ``plan.execute(executor)`` accepts any
+:class:`~repro.engine.executor.Executor`; a parallel backend returns
+through that seam once it records a ≥ 1.3× gain on a shipped workload.
+``engine.worker_stats()`` reports ``{"backend": "serial", "workers": 1}``.
 """
 
 from ..errors import (  # noqa: F401  (re-export: engine failures)
@@ -86,42 +49,19 @@ from ..errors import (  # noqa: F401  (re-export: engine failures)
 from .executor import (  # noqa: F401
     Executor,
     SerialExecutor,
-    ThreadPoolExecutor,
-    configure,
-    current_workers,
-    get_executor,
-    resolve_workers,
     set_task_retries,
     task_retries,
-    using,
     worker_stats,
 )
 from .plan import SolvePlan, SolveTask, chunk_bounds, parallel_map  # noqa: F401
-from .process import (  # noqa: F401
-    ProcessPoolBackend,
-    ProcessSpec,
-    worker_cache,
-)
-from .shm import SegmentRegistry, registry_stats  # noqa: F401
 
 __all__ = [
     "Executor",
-    "ProcessPoolBackend",
-    "ProcessSpec",
-    "SegmentRegistry",
     "SerialExecutor",
     "TaskCancelled",
     "TaskError",
-    "ThreadPoolExecutor",
-    "configure",
-    "current_workers",
-    "get_executor",
-    "resolve_workers",
     "set_task_retries",
     "task_retries",
-    "registry_stats",
-    "using",
-    "worker_cache",
     "worker_stats",
     "SolvePlan",
     "SolveTask",

@@ -1,61 +1,25 @@
 """Executor backends for :class:`~repro.engine.plan.SolvePlan`.
 
-The backends share one tiny contract — ``run(callables) -> results`` in
-submission order — plus a module-global configuration so that every
-plan-emitting layer (resolvent batches, Krylov chains, distortion
-sweeps) picks up the same backend without threading an executor handle
-through a dozen call signatures.
-
-The serial backend is the default: it is deterministic, allocation-free
-and exactly reproduces the historical inline loops.  The thread-pool
-backend exists because the numerical kernels underneath every task
-(LAPACK ``trtrs``, BLAS GEMM, SuperLU) release the GIL, so independent
-solves genuinely overlap on multicore hosts.  The process-pool backend
-(:mod:`repro.engine.process`) additionally scales the pure-Python
-stages: tasks carrying a process spec run in worker processes with
-shared-memory payloads, the rest fall back inline.
-
-Selection: ``REPRO_BACKEND=serial|thread|process`` plus
-``REPRO_WORKERS=<n>|auto`` as environment defaults, or explicitly via
-:func:`configure` / the :class:`using` scope.  A backend request without
-a worker count implies ``workers="auto"``; any resolved count ``<= 1``
-degrades to serial.
+The contract is one tiny method — ``run(callables) -> results`` in
+submission order.  :class:`SerialExecutor`, a plain in-order loop, is
+the only backend shipped: the parallel backends measured no gain on
+the 2-core hosts the benchmark runs on, so they were removed.  A custom
+:class:`Executor` passed to :meth:`~repro.engine.plan.SolvePlan.execute`
+is the seam a measured backend can come back through.
 """
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor as _PoolImpl
 
 from ..errors import TaskCancelled, ValidationError
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
-    "configure",
-    "current_workers",
-    "get_executor",
-    "resolve_workers",
     "set_task_retries",
     "task_retries",
-    "using",
     "worker_stats",
 ]
-
-#: Set (per thread) while a task is running on a pool worker; nested
-#: plans observe it and fall back to inline serial execution so that a
-#: task can never deadlock waiting on pool slots its ancestors occupy.
-_worker_state = threading.local()
-
-#: Raised process-wide by the process backend's pool initializer: every
-#: thread of a worker *process* counts as "in a worker", so nested plans
-#: there run inline and never build pools of their own.
-_process_worker = False
-
-
-def in_worker():
-    """True when the calling thread is a pool worker running a task."""
-    return _process_worker or getattr(_worker_state, "active", False)
 
 
 def _check_cancel(cancel, done, total):
@@ -76,18 +40,12 @@ class Executor:
     running are never interrupted mid-flight.
     """
 
-    workers = 1
-    backend_name = "custom"
-
     def run(self, callables, cancel=None):
         raise NotImplementedError
 
 
 class SerialExecutor(Executor):
     """In-order, in-thread execution (the deterministic default)."""
-
-    workers = 1
-    backend_name = "serial"
 
     def run(self, callables, cancel=None):
         if cancel is None:
@@ -100,279 +58,9 @@ class SerialExecutor(Executor):
         return results
 
 
-class ThreadPoolExecutor(Executor):
-    """Persistent thread-pool backend (``workers >= 2``).
-
-    The underlying pool is created lazily on first use and reused across
-    plans — pool spin-up is microseconds, but keeping it warm means a
-    50-point sweep pays it once, not per batch.  Results come back in
-    submission order; the first task exception (by submission order) is
-    re-raised after all tasks have settled, so no work is silently
-    dropped mid-flight.
-    """
-
-    backend_name = "threads"
-
-    def __init__(self, workers):
-        workers = int(workers)
-        if workers < 2:
-            raise ValidationError(
-                f"ThreadPoolExecutor needs workers >= 2, got {workers}; "
-                "use SerialExecutor for single-threaded execution"
-            )
-        self.workers = workers
-        self._pool = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self):
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = _PoolImpl(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-engine",
-                )
-            return self._pool
-
-    @staticmethod
-    def _wrap(fn):
-        def task():
-            _worker_state.active = True
-            try:
-                return fn()
-            finally:
-                _worker_state.active = False
-
-        return task
-
-    def run(self, callables, cancel=None):
-        callables = list(callables)
-        if not callables:
-            return []
-        if len(callables) == 1 or in_worker():
-            # Nested plan on a worker thread (or a degenerate plan):
-            # execute inline — waiting on pool slots owned by ancestors
-            # would deadlock, and one task gains nothing from dispatch.
-            return SerialExecutor().run(callables, cancel=cancel)
-        _check_cancel(cancel, 0, len(callables))
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._wrap(fn)) for fn in callables]
-        results = []
-        first_error = None
-        try:
-            for future in futures:
-                # Shedding the not-yet-started tail is handled by the
-                # BaseException path below; running tasks finish (their
-                # memoized results stay valid).
-                _check_cancel(cancel, len(results), len(futures))
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # re-raised below, in task order
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-        except BaseException:
-            # KeyboardInterrupt (or another non-Exception) hit the
-            # waiting thread: drop not-yet-started tasks and propagate
-            # immediately instead of blocking on the rest of the plan.
-            for future in futures:
-                future.cancel()
-            raise
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def shutdown(self):
-        """Tear down the pool (the executor rebuilds it if reused)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-# ---------------------------------------------------------------------------
-# global configuration
-# ---------------------------------------------------------------------------
-
-_config_lock = threading.Lock()
-_serial = SerialExecutor()
-_executor = None  # resolved lazily from REPRO_WORKERS on first use
-#: How the active backend's worker count was requested — "auto" when
-#: resolved from os.cpu_count(), the literal number otherwise; exposed
-#: through worker_stats() (sparse_lu_stats-style introspection).
-_requested = None
-
-
-def resolve_workers(workers):
-    """Resolve a worker request to a concrete count.
-
-    ``"auto"`` (case-insensitive) resolves to ``max(1, cpu_count − 1)``
-    — all cores but one, so the process stays responsive and a
-    single-core host degrades to the serial backend.  ``None`` and
-    counts ``<= 1`` mean serial; anything else must be a positive
-    integer.
-    """
-    if workers is None:
-        return 1
-    if isinstance(workers, str):
-        text = workers.strip().lower()
-        if text == "auto":
-            return max(1, (os.cpu_count() or 1) - 1)
-        try:
-            workers = int(text)
-        except ValueError as exc:
-            raise ValidationError(
-                f"workers must be an integer or 'auto', got {workers!r}"
-            ) from exc
-    return int(workers)
-
-
-def _normalize_backend(backend):
-    """Canonical backend name (``None`` passes through)."""
-    if backend is None:
-        return None
-    text = str(backend).strip().lower()
-    if text == "threads":
-        text = "thread"
-    if text not in ("serial", "thread", "process"):
-        raise ValidationError(
-            f"backend must be 'serial', 'thread' or 'process', "
-            f"got {backend!r}"
-        )
-    return text
-
-
-def _build(workers, backend=None):
-    """(executor, requested-label) for one worker/backend request."""
-    backend = _normalize_backend(backend)
-    if backend in ("thread", "process") and workers is None:
-        # An explicit parallel backend without a count means "use the
-        # host": same resolution as workers="auto".
-        workers = "auto"
-    count = resolve_workers(workers)
-    label = (
-        "auto"
-        if isinstance(workers, str) and workers.strip().lower() == "auto"
-        else count
-    )
-    if backend == "serial" or count <= 1:
-        return _serial, label
-    if backend == "process":
-        # Lazy import: process.py imports this module (and plan.py) in
-        # turn, so the top level must stay acyclic.
-        from .process import ProcessPoolBackend
-
-        return ProcessPoolBackend(count), label
-    return ThreadPoolExecutor(count), label
-
-
-def _from_env():
-    raw_backend = os.environ.get("REPRO_BACKEND", "").strip()
-    backend = None
-    if raw_backend:
-        try:
-            backend = _normalize_backend(raw_backend)
-        except ValidationError as exc:
-            raise ValidationError(
-                f"REPRO_BACKEND must be 'serial', 'thread' or "
-                f"'process', got {raw_backend!r}"
-            ) from exc
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if backend is None and not raw:
-        return _serial, None
-    try:
-        return _build(raw or None, backend)
-    except ValidationError as exc:
-        raise ValidationError(
-            f"REPRO_WORKERS must be an integer or 'auto', got {raw!r}"
-        ) from exc
-
-
-def get_executor():
-    """The globally configured backend (serial unless told otherwise)."""
-    global _executor, _requested
-    with _config_lock:
-        if _executor is None:
-            _executor, _requested = _from_env()
-        return _executor
-
-
-def _set_executor(executor, requested=None):
-    global _executor, _requested
-    with _config_lock:
-        previous = (_executor, _requested)
-        _executor, _requested = executor, requested
-    return previous
-
-
-def configure(workers=None, backend=None):
-    """Select the global backend.  Returns the executor.
-
-    ``workers <= 1`` (or None, with no backend named) is serial,
-    ``"auto"`` is ``max(1, cpu_count − 1)``.  *backend* picks the pool
-    flavour — ``"serial"``, ``"thread"`` or ``"process"`` (default
-    thread, matching the pre-process-backend behaviour); naming a
-    parallel backend without a count implies ``workers="auto"``.
-
-    Overrides any ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment
-    setting for the rest of the process (the env vars are only defaults
-    for the first use).
-    """
-    executor, requested = _build(workers, backend)
-    previous, _ = _set_executor(executor, requested)
-    # Unlike `using` (which restores — and then tears down — its scoped
-    # pool on exit), configure permanently replaces the backend: reap
-    # the displaced pool's workers instead of leaking them.
-    _shutdown_displaced(previous, executor)
-    return executor
-
-
-def _shutdown_displaced(previous, current):
-    """Tear down a displaced pool-holding backend (duck-typed)."""
-    if previous is None or previous is current or previous is _serial:
-        return
-    shutdown = getattr(previous, "shutdown", None)
-    if shutdown is not None:
-        shutdown()
-
-
-def current_workers():
-    """Worker count of the active backend (1 for serial)."""
-    return get_executor().workers
-
-
 def worker_stats():
-    """Introspection of the resolved backend, ``sparse_lu_stats``-style.
-
-    Always returns ``{"backend", "workers", "requested", "cpu_count",
-    "shm_segments", "shm_bytes_mapped"}`` — *requested* is ``"auto"``
-    when the count was resolved from the host CPU count (via
-    ``configure(workers="auto")`` or ``REPRO_WORKERS=auto``), the
-    literal request otherwise (``None`` for the untouched default); the
-    ``shm_*`` keys report the parent-side shared-memory registry (zero
-    until the process backend ships a payload).  Backends exposing a
-    ``stats()`` hook (the process pool: start method, pool liveness,
-    tasks executed/inline) contribute those keys too.
-    """
-    executor = get_executor()
-    with _config_lock:
-        requested = _requested
-    stats = {
-        "backend": getattr(
-            executor, "backend_name", type(executor).__name__
-        ),
-        "workers": int(executor.workers),
-        "requested": requested,
-        "cpu_count": os.cpu_count(),
-    }
-    extra = getattr(executor, "stats", None)
-    if extra is not None:
-        stats.update(extra())
-    from .shm import registry_stats
-
-    shm = registry_stats()
-    stats["shm_segments"] = int(shm["segments"])
-    stats["shm_bytes_mapped"] = int(shm["bytes"])
-    return stats
+    """The active backend, ``{"backend": "serial", "workers": 1}``."""
+    return {"backend": "serial", "workers": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +71,7 @@ def worker_stats():
 #: REPRO_TASK_RETRIES (default 0 — retries are strictly opt-in, so the
 #: default behaviour is bit-identical to the historical engine).
 _task_retries = None
+_retries_lock = threading.Lock()
 
 
 def _resolve_retries(value):
@@ -402,7 +91,7 @@ def _resolve_retries(value):
 def task_retries():
     """The configured transient-retry count (``REPRO_TASK_RETRIES``)."""
     global _task_retries
-    with _config_lock:
+    with _retries_lock:
         if _task_retries is None:
             raw = os.environ.get("REPRO_TASK_RETRIES", "").strip()
             if not raw:
@@ -429,33 +118,7 @@ def set_task_retries(count):
     """
     global _task_retries
     resolved = None if count is None else _resolve_retries(count)
-    with _config_lock:
+    with _retries_lock:
         previous = _task_retries
         _task_retries = resolved
     return previous
-
-
-class using:
-    """Context manager: temporarily switch the global backend.
-
-    ``with engine.using(workers=4): ...`` or
-    ``with engine.using(backend="process"): ...`` — used by the parity
-    tests and the benchmark harness to compare backends on identical
-    workloads.  The scoped pool (thread or process) is torn down on
-    exit.
-    """
-
-    def __init__(self, workers=None, backend=None):
-        self._workers = workers
-        self._backend = backend
-        self._previous = None
-
-    def __enter__(self):
-        target, requested = _build(self._workers, self._backend)
-        self._previous = _set_executor(target, requested)
-        return target
-
-    def __exit__(self, exc_type, exc, tb):
-        current, _ = _set_executor(*self._previous)
-        _shutdown_displaced(current, self._previous[0])
-        return False

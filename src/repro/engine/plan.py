@@ -6,7 +6,7 @@ layers and the executor backends: a layer that used to run an inline
 iteration* (binding every input explicitly — tasks must not depend on
 loop variables by closure mutation) and calls :meth:`SolvePlan.execute`.
 Results always come back in submission order, so the assembly code after
-the plan is identical for every backend.
+the plan does not depend on the backend.
 
 Failure semantics: a task exception is re-raised as a dynamically
 created subclass of both :class:`~repro.errors.TaskError` and the
@@ -23,7 +23,7 @@ from functools import partial
 
 from ..errors import FaultInjected, TaskError
 from ..testing.faults import fault_point
-from .executor import get_executor, task_retries
+from .executor import SerialExecutor, task_retries
 
 __all__ = ["SolveTask", "SolvePlan", "chunk_bounds", "parallel_map"]
 
@@ -32,6 +32,9 @@ __all__ = ["SolveTask", "SolvePlan", "chunk_bounds", "parallel_map"]
 #: numerical breakdown, structural errors) always fail fast — retrying
 #: them re-runs identical floating-point work to the identical end.
 _TRANSIENT = (FaultInjected, OSError, MemoryError)
+
+#: The backend plans run on unless a caller passes its own executor.
+_DEFAULT_EXECUTOR = SerialExecutor()
 
 #: original exception type -> TaskError subclass preserving it.
 _WRAP_CACHE = {}
@@ -101,24 +104,15 @@ class SolveTask:
     ``tag`` is free-form caller metadata (e.g. ``("H2-chain", s0, col)``)
     used to regroup results after execution; the engine never inspects
     it.
-
-    ``spec`` is an optional :class:`~repro.engine.process.ProcessSpec`
-    making the task shippable to the process backend: a module-level
-    function reference plus a codec-serializable payload.  Backends that
-    cannot use it (serial, threads) ignore it and call the closure; the
-    process backend dispatches specced tasks to worker processes and
-    runs the rest inline, so a plan is correct on every backend whether
-    or not its tasks carry specs.
     """
 
-    __slots__ = ("fn", "args", "kwargs", "tag", "spec")
+    __slots__ = ("fn", "args", "kwargs", "tag")
 
-    def __init__(self, fn, args=(), kwargs=None, tag=None, spec=None):
+    def __init__(self, fn, args=(), kwargs=None, tag=None):
         self.fn = fn
         self.args = tuple(args)
         self.kwargs = dict(kwargs) if kwargs else None
         self.tag = tag
-        self.spec = spec
 
     def __call__(self):
         if self.kwargs:
@@ -160,7 +154,7 @@ class SolvePlan:
     def execute(self, executor=None, retries=None, cancel=None):
         """Run every task; results in submission order.
 
-        With no *executor* the globally configured backend is used.
+        With no *executor* the tasks run on a :class:`SerialExecutor`.
         Empty and single-task plans short-circuit to inline execution on
         any backend.  *retries* bounds re-execution of transiently
         failing tasks (default: the global
@@ -184,13 +178,8 @@ class SolvePlan:
             retries = task_retries()
         if len(self.tasks) == 1 and cancel is None:
             return [_make_runner(self.tasks[0], 0, self.label, retries)()]
-        executor = executor if executor is not None else get_executor()
-        run_plan = getattr(executor, "run_plan", None)
-        if run_plan is not None:
-            # Plan-aware backend (the process pool): hand over the plan
-            # itself so it can see per-task specs; ordering, failure and
-            # cancellation semantics are the backend's contract.
-            return run_plan(self, retries=retries, cancel=cancel)
+        if executor is None:
+            executor = _DEFAULT_EXECUTOR
         runners = [
             _make_runner(task, index, self.label, retries)
             for index, task in enumerate(self.tasks)

@@ -1003,11 +1003,8 @@ class LowRankKronSolver:
     few steps.
 
     Concurrency note: one solver-wide lock guards the shared basis, so
-    engine-dispatched chain tasks on the sparse path serialize through
-    it (correct under any ``REPRO_WORKERS``, but effectively serial —
-    the shared-basis reuse is worth far more than intra-solve
-    parallelism here; the thread backend's speedup applies to the dense
-    Schur path's independent per-column solves).
+    chain tasks from concurrent callers (e.g. serve handler threads)
+    serialize through it.
 
     The Π equation gets a *right-sided* projection instead (see
     :meth:`solve_pi`): Π's singular values decay too slowly on realistic
@@ -1031,13 +1028,14 @@ class LowRankKronSolver:
     tol : float
         Default relative residual target.
     tol_floor : float, optional
-        Soft acceptance floor: when the basis cap stalls an iteration
-        above *tol* but at or below ``tol_floor``, the solve returns
-        the stalled solution (counted in ``stats["soft_accepts"]``)
-        instead of raising.  Lets callers request residuals well below
-        a downstream decision threshold (e.g. a basis-deflation
-        cutoff, whose keep/drop choices must not flip on solve noise)
-        without turning previously-convergent problems into failures.
+        Soft acceptance floor: when the basis cap or the Galerkin round
+        cap stalls an iteration above *tol* but at or below
+        ``tol_floor``, the solve returns the stalled solution (counted
+        in ``stats["soft_accepts"]``) instead of raising.  Lets callers
+        request residuals well below a downstream decision threshold
+        (e.g. a basis-deflation cutoff, whose keep/drop choices must not
+        flip on solve noise) without turning previously-convergent
+        problems into failures.
     max_dim : int
         Basis-dimension cap; exceeding it raises
         :class:`~repro.errors.NumericalError`.
@@ -1252,6 +1250,7 @@ class LowRankKronSolver:
             sigma = shift / k
             resid = np.inf
             pending = None
+            y = u = None
             for _ in range(_MAX_GALERKIN_ROUNDS):
                 try:
                     y, resid = self._galerkin(rhs, k, shift)
@@ -1272,21 +1271,25 @@ class LowRankKronSolver:
                     # solve_pi).
                     pending = exc
                     y = None
+                u = basis.u  # the basis y is expressed in
                 if y is not None and resid <= tol * rhs_norm:
-                    out = FactoredTensor(y, [basis.u] * k)
+                    out = FactoredTensor(y, [u] * k)
                     return out.compress(
                         self.compress_tol, factors_orthonormal=True
                     )
                 if not self._extend(basis, sigma):
-                    floor = self.tol_floor
-                    if (y is not None and floor is not None
-                            and resid <= floor * rhs_norm):
-                        self.stats["soft_accepts"] += 1
-                        out = FactoredTensor(y, [basis.u] * k)
-                        return out.compress(
-                            self.compress_tol, factors_orthonormal=True
-                        )
                     break
+            # Stalled: the basis cap stopped growth, or the round cap
+            # ran out.  Either way the last solution is kept when it
+            # sits under the soft floor.
+            floor = self.tol_floor
+            if (y is not None and floor is not None
+                    and resid <= floor * rhs_norm):
+                self.stats["soft_accepts"] += 1
+                out = FactoredTensor(y, [u] * k)
+                return out.compress(
+                    self.compress_tol, factors_orthonormal=True
+                )
             if pending is not None:
                 raise pending
             raise NumericalError(
@@ -1448,7 +1451,12 @@ class LowRankKronSolver:
                 basis.absorb(warm)
             resid = np.inf
             pending = None
+            left = u = None
             for _ in range(_MAX_GALERKIN_ROUNDS):
+                if left is not None:
+                    # Superseded round: reclaim its arena tile eagerly
+                    # (a no-op when the left factor was RAM-resident).
+                    memory.release(left)
                 self.stats["pi_iterations"] += 1
                 try:
                     left, resid = self._pi_right_solve(
@@ -1461,24 +1469,18 @@ class LowRankKronSolver:
                     # growing the basis moves the Ritz values.
                     pending = exc
                     left = None
+                u = basis.u  # the right basis left is expressed in
                 if left is not None and resid <= tol * g2_norm:
-                    return FactoredPi(
-                        left, basis.u.copy(), float(resid), g2_norm
-                    )
+                    return FactoredPi(left, u.copy(), float(resid), g2_norm)
                 if not self._extend(basis, 0.0, transpose=True):
-                    if (left is not None and floor is not None
-                            and resid <= floor * g2_norm):
-                        self.stats["soft_accepts"] += 1
-                        return FactoredPi(
-                            left, basis.u.copy(), float(resid), g2_norm
-                        )
-                    if left is not None:
-                        memory.release(left)
                     break
-                if left is not None:
-                    # Superseded round: reclaim its arena tile eagerly
-                    # (a no-op when the left factor was RAM-resident).
-                    memory.release(left)
+            # Stalled at the basis cap or the round cap: keep the last
+            # solution when it sits under the soft floor.
+            if left is not None:
+                if floor is not None and resid <= floor * g2_norm:
+                    self.stats["soft_accepts"] += 1
+                    return FactoredPi(left, u.copy(), float(resid), g2_norm)
+                memory.release(left)
             if pending is not None:
                 raise pending
             raise NumericalError(

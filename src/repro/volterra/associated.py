@@ -109,10 +109,8 @@ def stack_columns(vectors, label):
     The blockwise equivalent of ``np.column_stack(vectors)``: the output
     lives in the tile arena (RAM, or a writable memmap once the result
     would crowd the memory budget) and rows are copied in
-    :func:`repro.memory.block_rows`-sized tiles.  Each tile is an
-    independent engine task, so under a threaded backend tile copies
-    overlap instead of serializing behind one big allocation.  The
-    result is bit-identical to the dense stack.
+    :func:`repro.memory.block_rows`-sized tiles, one engine task per
+    tile.  The result is bit-identical to the dense stack.
     """
     if not vectors:
         return np.empty((0, 0))
@@ -697,8 +695,7 @@ class AssociatedRealization:
         whose columns span the space matching *count* moments of ``H(s)``
         about ``s0`` (per retained input column).  With ``deduplicate``
         only one column per symmetric input multiset is chained.  The
-        per-column chains run as one engine plan (independent tasks;
-        serial backend by default).
+        per-column chains run as one engine plan of independent tasks.
         """
         plan = SolvePlan("associated.moment_vectors")
         for fn in self.chain_tasks(count, s0=s0, deduplicate=deduplicate):
@@ -944,8 +941,8 @@ class DecoupledH2Realization:
         chains run as one engine plan (one task per subsystem per
         retained input column), and each block is then assembled in row
         tiles through :func:`stack_columns` — one engine task per tile,
-        into arena-backed storage — so assembly overlaps across workers
-        and never materializes an extra dense ``n``-row stack.
+        into arena-backed storage — so assembly never materializes an
+        extra dense ``n``-row stack.
         """
         tasks = self.chain_tasks(count, s0=s0, deduplicate=deduplicate)
         plan = SolvePlan("decoupled-h2.basis_blocks")

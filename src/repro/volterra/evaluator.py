@@ -160,9 +160,9 @@ class VolterraEvaluator:
         """Batch-solve ``H1`` at all uncached *shifts* in one pass.
 
         Uses :meth:`ResolventFactory.solve_many`, which hoists the basis
-        rotations out of the shift loop and dispatches the per-shift
-        substitutions through the engine backend — the fast way to seed
-        a whole frequency grid before a sweep.
+        rotations out of the shift loop and runs the per-shift
+        substitutions as one engine plan — the fast way to seed a whole
+        frequency grid before a sweep.
         """
         with self._cache_lock:
             wanted = []
@@ -170,8 +170,8 @@ class VolterraEvaluator:
             for s in np.atleast_1d(np.asarray(shifts, dtype=complex)):
                 key = complex(s)
                 # Set-based dedup: the former ``key not in wanted`` list
-                # scan was O(k²) work *inside* the cache lock that every
-                # parallel sweep task contends on.
+                # scan was O(k²) work *inside* the cache lock that
+                # concurrent callers contend on.
                 if key not in seen and key not in self._h1_cache:
                     seen.add(key)
                     wanted.append(key)

@@ -26,6 +26,7 @@ from repro.circuits.examples import (
     varistor_surge_protector,
 )
 from repro.errors import NumericalError, ValidationError
+from repro.linalg import sylvester as syl
 from repro.linalg.kronecker import sparse_kron_apply
 from repro.linalg.resolvent import ResolventFactory
 from repro.linalg.sylvester import (
@@ -183,6 +184,46 @@ class TestLowRankKronSolves:
             solver.solve(
                 FactoredTensor.rank_one([b, np.ones(60)]), k=2, tol=1e-12
             )
+
+
+class TestSoftFloorAtRoundCap:
+    """A solve that runs out of Galerkin rounds under ``tol_floor``
+    soft-accepts, exactly like one stalled by the basis cap."""
+
+    @pytest.fixture
+    def system(self, monkeypatch):
+        # Two rounds: far from the 1e-15 target, well under the floor.
+        monkeypatch.setattr(syl, "_MAX_GALERKIN_ROUNDS", 2)
+        return low_rank_ladder(80, sparse=True)
+
+    def test_kron_solve_soft_accepts(self, system):
+        solver = make_solver(system, tol=1e-15, tol_floor=1e-2)
+        b = np.asarray(system.b[:, 0]).ravel()
+        rhs = FactoredTensor.rank_one([b, b])
+        x = solver.solve(rhs, k=2, shift=0.3)
+        assert solver.stats["soft_accepts"] == 1
+        assert solver.dim < solver.max_dim  # the round cap stopped it
+        eye = sp.identity(80, format="csr")
+        op = sp.kron(system.g1, eye) + sp.kron(eye, system.g1)
+        op = op + 0.3 * sp.identity(80 * 80)
+        resid = op @ x.to_vector() - rhs.to_vector()
+        rel = np.linalg.norm(resid) / np.linalg.norm(rhs.to_vector())
+        assert 1e-15 < rel <= 1e-2
+
+    def test_solve_pi_soft_accepts(self, system):
+        solver = make_solver(system, tol=1e-15, tol_floor=1e-2)
+        fpi = solver.solve_pi(system.g2)
+        assert solver.stats["soft_accepts"] == 1
+        assert solver.stats["pi_iterations"] == 2
+        true = pi_sylvester_residual(system.g1, system.g2, fpi)
+        assert true == pytest.approx(fpi.residual, rel=1e-6)
+        assert 1e-15 * fpi.rhs_norm < true <= 1e-2 * fpi.rhs_norm
+
+    def test_above_floor_still_raises(self, system):
+        solver = make_solver(system, tol=1e-15, tol_floor=1e-8)
+        with pytest.raises(NumericalError, match="stalled"):
+            solver.solve_pi(system.g2)
+        assert solver.stats["soft_accepts"] == 0
 
 
 class TestLowRankPi:

@@ -331,6 +331,16 @@ class TestCli:
         assert self._run("simulate", str(spec)) == 2
         capsys.readouterr()
 
+    def test_serve_rejects_engine_workers(self):
+        """The engine is serial; serve takes no backend/worker flags."""
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--engine-workers", "2"],
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=60,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"},
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --engine-workers 2" in result.stderr
+
     def test_subprocess_end_to_end(self, tmp_path):
         """python -m repro, as CI's smoke step invokes it."""
         result = subprocess.run(

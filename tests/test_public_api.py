@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,13 @@ SUBPACKAGES = [
 class TestExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["version"] == repro.__version__
 
     @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_subpackage_all_resolves(self, name):
