@@ -24,11 +24,11 @@ import scipy.sparse.linalg as spla
 from ..errors import NumericalError
 
 __all__ = [
+    "ShiftRefactor",
     "csc_pattern_digest",
     "factorized_solver",
     "shifted_matrix",
     "sparse_lu",
-    "sparse_lu_shared",
     "symbolic_cache_stats",
 ]
 
@@ -38,7 +38,7 @@ __all__ = [
 _PIVOT_RTOL = 1e-13
 
 #: Distinct sparsity patterns whose fill-reducing column orderings are
-#: kept alive for :func:`sparse_lu_shared`.  A parametric corner sweep
+#: kept alive for :class:`ShiftRefactor`.  A parametric corner sweep
 #: uses exactly one pattern; the bound only matters when many unrelated
 #: systems interleave.
 _SYMBOLIC_CACHE_CAP = 32
@@ -130,38 +130,102 @@ class _PermutedLU:
         raise ValueError(f"unsupported trans {trans!r}")
 
 
-def sparse_lu_shared(mat, pattern, guard=True):
-    """Factor *mat* reusing the symbolic analysis cached for *pattern*.
-
-    SuperLU has no public symbolic/numeric split, but its expensive
-    structural work — the fill-reducing column ordering — depends only
-    on the sparsity pattern.  The first factorization of a pattern runs
-    the full analysis and caches ``perm_c``; later factorizations of
-    the *same* pattern (every corner of a parameter sweep, every shift
-    of one resolvent factory) pre-permute the columns and factor with
-    ``permc_spec="NATURAL"``, i.e. a numeric-only refactorization under
-    the shared ordering.  Row (partial) pivoting still runs per matrix,
-    so the numerics are those of a fresh factorization.
-
-    *pattern* is the :func:`csc_pattern_digest` of *mat* (callers cache
-    it; a digest from a different pattern degrades fill quality but
-    never correctness).  Returns ``(lu, reused)`` where *reused* tells
-    whether the cached ordering served this factorization.
-    """
-    csc = sp.csc_matrix(mat)
+def _cached_ordering(pattern):
     with _SYMBOLIC_LOCK:
         perm = _SYMBOLIC_CACHE.get(pattern)
         if perm is not None:
             _SYMBOLIC_CACHE.move_to_end(pattern)
-    if perm is None or perm.shape[0] != csc.shape[1]:
-        lu = _splu(csc, guard)
-        with _SYMBOLIC_LOCK:
-            _SYMBOLIC_CACHE[pattern] = np.asarray(lu.perm_c).copy()
-            while len(_SYMBOLIC_CACHE) > _SYMBOLIC_CACHE_CAP:
-                _SYMBOLIC_CACHE.popitem(last=False)
-        return lu, False
-    lu = _splu(csc[:, perm], guard, permc_spec="NATURAL")
-    return _PermutedLU(lu, perm), True
+        return perm
+
+
+def _remember_ordering(pattern, perm):
+    with _SYMBOLIC_LOCK:
+        _SYMBOLIC_CACHE[pattern] = perm
+        while len(_SYMBOLIC_CACHE) > _SYMBOLIC_CACHE_CAP:
+            _SYMBOLIC_CACHE.popitem(last=False)
+
+
+class ShiftRefactor:
+    """Factor ``s·I − A`` for many shifts ``s`` on one sparsity pattern.
+
+    The pattern is that of ``A + I`` (a diagonal entry ``A`` lacks
+    structurally still needs a slot for the shift), stored with the
+    values of ``−A`` and the positions of its diagonal slots in
+    ``data``.  Each shift copies those values, adds ``s`` at the slots
+    and hands the arrays straight to SuperLU — no sparse arithmetic.
+
+    SuperLU has no public symbolic/numeric split, but its expensive
+    structural work — the fill-reducing column ordering — depends only
+    on the pattern.  The first factorization of a pattern runs the full
+    analysis and caches ``perm_c`` module-wide under the pattern's
+    :func:`csc_pattern_digest`; from then on the pattern is stored
+    column-permuted and every shift (and every other refactor over the
+    same pattern: the corners of a parameter sweep) factors with
+    ``permc_spec="NATURAL"``, a numeric-only refactorization under the
+    shared ordering.  Row (partial) pivoting still runs per matrix, so
+    the numerics are those of a fresh factorization.
+
+    *dtype* is the arithmetic kind (``float`` or ``complex``); complex
+    shifts need a complex refactor.
+    """
+
+    def __init__(self, a, dtype):
+        a = sp.coo_matrix(a)
+        n = a.shape[0]
+        diag = np.arange(n)
+        rows = np.concatenate([a.row, diag])
+        cols = np.concatenate([a.col, diag])
+        values = np.concatenate([-a.data.astype(dtype), np.zeros(n, dtype)])
+        # COO → CSC sums duplicates without dropping zeros, so no
+        # structural entry of A + I is lost to cancellation.
+        csc = sp.csc_matrix((values, (rows, cols)), shape=a.shape)
+        csc.sum_duplicates()
+        self.shape = a.shape
+        self.pattern = csc_pattern_digest(csc)
+        # (indptr, indices, −A values, diagonal slots, column ordering),
+        # swapped as one tuple so a concurrent factor never mixes the
+        # unpermuted and the permuted layout.
+        self._state = self._layout(csc, diag, None)
+
+    @staticmethod
+    def _layout(csc, diag_rows, perm):
+        column = np.repeat(diag_rows, np.diff(csc.indptr))
+        slots = np.flatnonzero(csc.indices == column)
+        return csc.indptr, csc.indices, csc.data, slots, perm
+
+    def _matrix(self, state, shift):
+        indptr, indices, neg, slots, _ = state
+        data = neg.copy()
+        data[slots] += shift
+        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
+
+    def _permuted(self, state, perm):
+        indptr, indices, neg, _, _ = state
+        csc = sp.csc_matrix((neg, indices, indptr), shape=self.shape)
+        self._state = self._layout(csc[:, perm], perm, perm)
+        return self._state
+
+    def factor(self, shift, guard=True):
+        """SuperLU of ``shift·I − A``; returns ``(lu, reused)`` where
+        *reused* tells whether a cached column ordering served it.
+
+        With *guard* a vanishing U pivot raises
+        :class:`~repro.errors.NumericalError` (see :func:`sparse_lu`).
+        """
+        state = self._state
+        if state[4] is None:
+            perm = _cached_ordering(self.pattern)
+            if perm is None:
+                lu = _splu(self._matrix(state, shift), guard)
+                perm = np.asarray(lu.perm_c).copy()
+                _remember_ordering(self.pattern, perm)
+                self._permuted(state, perm)
+                return lu, False
+            state = self._permuted(state, perm)
+        lu = _splu(
+            self._matrix(state, shift), guard, permc_spec="NATURAL"
+        )
+        return _PermutedLU(lu, state[4]), True
 
 
 def symbolic_cache_stats():

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from .._validation import as_square_matrix
 from ..engine import SolvePlan
 from ..errors import NumericalError, ValidationError
-from .lu import csc_pattern_digest, sparse_lu_shared
+from .lu import ShiftRefactor
 from .schur import SchurForm
 
 __all__ = ["ResolventFactory"]
@@ -113,21 +113,16 @@ class ResolventFactory:
             self.n = a.shape[0]
             self.schur = None
             # Real input keeps a real CSC: real shifts then factor in
-            # real arithmetic (see _RealSparseLU); the complex form is
-            # built lazily only when a complex shift actually arrives.
+            # real arithmetic (see _RealSparseLU); the complex refactor
+            # is built lazily only when a complex shift actually arrives.
             dtype = complex if a.dtype.kind == "c" else float
             self._csc = sp.csc_matrix(a, copy=False).astype(dtype)
             self._real = dtype is float
-            self._eye = sp.identity(self.n, dtype=dtype, format="csc")
-            self._csc_complex = None if self._real else self._csc
-            self._eye_complex = None if self._real else self._eye
             self._lu_cache = OrderedDict()
-            # Pattern digest of the shifted matrix (sI − A) per
-            # arithmetic kind, computed from the first factorization:
-            # the shift only changes values, so one digest per kind
-            # serves every subsequent shift — and every *other* factory
-            # over the same sparsity pattern (parametric corners).
-            self._shift_pattern = {}
+            # One ShiftRefactor per arithmetic kind: the permuted
+            # pattern of (sI − A) is built once and every shift only
+            # writes values into it.
+            self._refactors = {}
             self.sparse_lu_stats = {
                 "real": 0,
                 "complex": 0,
@@ -208,47 +203,35 @@ class ResolventFactory:
                 f"(smallest |s - lambda| = {gap:.3e})"
             )
 
-    def _csc_as_complex(self):
-        """The complex CSC pair (matrix, identity), built lazily."""
+    def _refactor(self, kind):
         with self._lock:
-            if self._csc_complex is None:
-                self._csc_complex = self._csc.astype(complex)
-                self._eye_complex = sp.identity(
-                    self.n, dtype=complex, format="csc"
-                )
-            return self._csc_complex, self._eye_complex
+            refactor = self._refactors.get(kind)
+            if refactor is None:
+                dtype = float if kind == "real" else complex
+                refactor = ShiftRefactor(self._csc, dtype)
+                self._refactors[kind] = refactor
+            return refactor
 
     def _factor_shift(self, key):
         """Factor ``(key I − A)`` — real arithmetic for real shifts on
         real matrices, complex otherwise."""
-        # sparse_lu's pivot guard mirrors the dense path's eigenvalue-gap
-        # check: a shift numerically on the spectrum raises instead of
-        # returning a garbage backsolve silently.  The factorization
-        # goes through the shared symbolic-analysis cache: the
-        # fill-reducing column ordering is computed once per sparsity
-        # pattern (module-wide, so parametric corners with identical
-        # CSR structure share it) and later shifts/corners pay a
-        # numeric-only refactorization.
+        # The pivot guard mirrors the dense path's eigenvalue-gap check:
+        # a shift numerically on the spectrum raises instead of
+        # returning a garbage backsolve silently.  The fill-reducing
+        # column ordering is shared module-wide per sparsity pattern
+        # (parametric corners with identical CSR structure share it),
+        # so later shifts/corners pay a numeric-only refactorization.
+        kind = "real" if self._real and key.imag == 0.0 else "complex"
         try:
-            if self._real and key.imag == 0.0:
-                kind = "real"
-                shifted = self._csc * (-1.0) + key.real * self._eye
-            else:
-                kind = "complex"
-                csc, eye = self._csc_as_complex()
-                shifted = csc * (-1.0) + key * eye
-            pattern = self._shift_pattern.get(kind)
-            if pattern is None:
-                pattern = csc_pattern_digest(shifted)
-                with self._lock:
-                    self._shift_pattern.setdefault(kind, pattern)
-            lu, reused = sparse_lu_shared(shifted, pattern)
-            if kind == "real":
-                lu = _RealSparseLU(lu)
+            lu, reused = self._refactor(kind).factor(
+                key.real if kind == "real" else key
+            )
         except NumericalError as exc:
             raise NumericalError(
                 f"sparse LU of (sI - A) at s = {key}: {exc}"
             ) from exc
+        if kind == "real":
+            lu = _RealSparseLU(lu)
         with self._lock:
             self.sparse_lu_stats[kind] += 1
             self.sparse_lu_stats[

@@ -376,19 +376,23 @@ def _solve_pi_schur(schur, g2):
     c = mode_apply(c, q.T, 1)
     c = mode_apply(c, q.T, 2)
 
-    # Solve mode0(T) Y − mode1(Tᵀ) Y − mode2(Tᵀ) Y = C by ascending sweep
-    # over (j, k): couplings come from p < j (mode 1) and p < k (mode 2).
-    y = np.empty((n, n, n), dtype=complex)
-    shifted = t.astype(complex, copy=True)
+    # Solve mode0(T) Y − mode1(Tᵀ) Y − mode2(Tᵀ) Y = C one slice at a
+    # time: with Y_k = Y[:, :, k], the couplings from p < k (mode 2) move
+    # to the right-hand side and what is left is one triangular
+    # Sylvester equation  T Y_k − Y_k (T + t_kk I) = C_k + Σ_{p<k} Y_p t_pk
+    # (LAPACK ztrsyl, isgn = −1).  Slices are stored leading, so the
+    # coupling sum is one GEMV over the solved ones.
+    ys = np.empty((n, n, n), dtype=complex)
+    eye = np.eye(n)
     for k in range(n):
-        for j in range(n):
-            rhs = c[:, j, k].copy()
-            if j > 0:
-                rhs += y[:, :j, k] @ t[:j, j]
-            if k > 0:
-                rhs += y[:, j, :k] @ t[:k, k]
-            np.fill_diagonal(shifted, diag - (t[j, j] + t[k, k]))
-            y[:, j, k] = sla.solve_triangular(shifted, rhs, lower=False)
+        rhs = c[:, :, k] + np.tensordot(t[:k, k], ys[:k], axes=(0, 0))
+        x, scale, info = sla.lapack.ztrsyl(t, t + t[k, k] * eye, rhs, isgn=-1)
+        if info != 0:
+            raise NumericalError(
+                f"triangular Sylvester solve failed (ztrsyl info={info})"
+            )
+        ys[k] = x / scale
+    y = np.moveaxis(ys, 0, 2)
 
     # Back-transform: Π = mode0(Q) mode1(conj(Q)) mode2(conj(Q)) Y.
     y = mode_apply(y, q, 0)
@@ -984,6 +988,26 @@ class _KrylovBasis:
         return 0.5 * (gs + gs.conj().T)
 
 
+def _pi_extensions_ahead(history, target):
+    """Basis extensions to take before the next solved Π round.
+
+    The exact residual of the right-projected Π solve decays about
+    geometrically per extension (rational-Krylov convergence), so the
+    rate ``ρ`` fitted to the last two solved rounds predicts the first
+    extension count at which the residual reaches *target*; the rounds
+    in between cannot pass and are not solved.  Without two finite
+    residuals on a decaying trend (``ρ < 1``) every round is solved.
+    """
+    if len(history) < 2:
+        return 1
+    (e0, r0), (e1, r1) = history[-2:]
+    if not (np.isfinite(r0) and np.isfinite(r1) and 0.0 < r1 < r0):
+        return 1
+    rho = (r1 / r0) ** (1.0 / (e1 - e0))
+    ahead = np.log(target / r1) / np.log(rho)
+    return max(1, int(np.ceil(ahead))) if np.isfinite(ahead) else 1
+
+
 class LowRankKronSolver:
     """Matrix-free Galerkin solver for the lifted Kronecker-sum systems.
 
@@ -1452,6 +1476,11 @@ class LowRankKronSolver:
             resid = np.inf
             pending = None
             left = u = None
+            # (extensions so far, exact residual) of the solved rounds
+            # since the last failed one: the round schedule's evidence.
+            history = []
+            extensions = 0
+            grew = True
             for _ in range(_MAX_GALERKIN_ROUNDS):
                 if left is not None:
                     # Superseded round: reclaim its arena tile eagerly
@@ -1463,16 +1492,29 @@ class LowRankKronSolver:
                         basis, rows, ii, jj, vals, seeds
                     )
                     pending = None
+                    history.append((extensions, resid))
                 except NumericalError as exc:
                     # A Ritz pair λ_b + λ_c can sit (numerically) on
                     # G1's spectrum even when the full equation is fine;
                     # growing the basis moves the Ritz values.
                     pending = exc
                     left = None
+                    history = []
                 u = basis.u  # the right basis left is expressed in
                 if left is not None and resid <= tol * g2_norm:
                     return FactoredPi(left, u.copy(), float(resid), g2_norm)
-                if not self._extend(basis, 0.0, transpose=True):
+                if not grew:
+                    break
+                # The extensions never read a round's solution, so the
+                # rounds the schedule skips change nothing but the cost;
+                # the basis the cap stops growth on is always solved.
+                start = extensions
+                for _ in range(_pi_extensions_ahead(history, tol * g2_norm)):
+                    grew = self._extend(basis, 0.0, transpose=True)
+                    if not grew:
+                        break
+                    extensions += 1
+                if extensions == start:
                     break
             # Stalled at the basis cap or the round cap: keep the last
             # solution when it sits under the soft floor.
@@ -1517,10 +1559,9 @@ class LowRankKronSolver:
         Solves ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2`` by transforming the right side
         with the complex Schur form ``H = Q T Qᴴ`` (``H⊕H`` becomes
         upper triangular in lexicographic pair order) and sweeping the
-        ``r²`` columns with one shifted sparse ``G1`` solve each; the
-        ``(d,e)``/``(e,d)`` columns share a shift, and the shell
-        ordering keeps them adjacent so the factory's LU cache serves
-        both from one factorization.
+        ``r²`` columns with shifted sparse ``G1`` solves; the
+        ``(d,e)``/``(e,d)`` columns share a shift and are solved as one
+        two-column right-hand side on one factorization.
         """
         u = basis.u
         r = basis.dim
@@ -1560,26 +1601,27 @@ class LowRankKronSolver:
                 )
             xt = planner.tile((n, r, r), complex, "pi-xt")
             # Shell sweep: shell s handles (d, s) for d <= s and (s, c) for
-            # c < s, so all lex-earlier couplings are available and the
-            # (d, s)/(s, d) shift pair stays adjacent for LU reuse.  The
-            # per-column state is O(n) — tile-friendly by construction.
+            # c < s, so all lex-earlier couplings are available.  The
+            # (d, s)/(s, d) pair shares the shift λ_d + λ_s and neither
+            # reads the other, so the two columns go through one
+            # two-column solve.  The per-column state is O(n) —
+            # tile-friendly by construction.
             for s_idx in range(r):
-                order = []
-                for d in range(s_idx):
-                    order.append((d, s_idx))
-                    order.append((s_idx, d))
-                order.append((s_idx, s_idx))
-                for d, e in order:
-                    # (G1 − (T[d,d]+T[e,e])I) x_de = c_de
-                    #     + Σ_{b<d} x_be T[b,d] + Σ_{c<e} x_dc T[c,e]
+                for d in range(s_idx + 1):
+                    cols = [(d, s_idx), (s_idx, d)] if d < s_idx \
+                        else [(d, d)]
+                    # (G1 − (T[i,i]+T[j,j])I) x_ij = c_ij
+                    #     + Σ_{b<i} x_bj T[b,i] + Σ_{c<j} x_ic T[c,j]
                     # — the strictly-upper couplings of X̃ (T⊕T) move to
                     # the right-hand side with a PLUS sign.
-                    rhs = np.array(ct[:, d, e])
-                    if d > 0:
-                        rhs += xt[:, :d, e] @ t[:d, d]
-                    if e > 0:
-                        rhs += xt[:, d, :e] @ t[:e, e]
-                    mu = lam[d] + lam[e]
+                    rhs = np.empty((n, len(cols)), dtype=complex)
+                    for col, (i, j) in enumerate(cols):
+                        rhs[:, col] = ct[:, i, j]
+                        if i > 0:
+                            rhs[:, col] += xt[:, :i, j] @ t[:i, i]
+                        if j > 0:
+                            rhs[:, col] += xt[:, i, :j] @ t[:j, j]
+                    mu = lam[d] + lam[s_idx]
                     x = self._solve(-mu, rhs)
                     # One iterative-refinement step against the same
                     # cached LU: the pair shifts λ_d + λ_e can land close
@@ -1588,7 +1630,8 @@ class LowRankKronSolver:
                     # that would propagate through the triangular sweep.
                     defect = rhs - (self.g1 @ x - mu * x)
                     x = x + self._solve(-mu, defect)
-                    xt[:, d, e] = x
+                    for col, (i, j) in enumerate(cols):
+                        xt[:, i, j] = x[:, col]
             planner.release(ct)
             ct = None
             # Back-transform: Π̂ = X̃ (Qᴴ ⊗ Qᴴ) applied on the pair index.

@@ -237,12 +237,16 @@ def save_payload(path, tree, compress=True, durable=True):
 def load_payload(path):
     """Load a payload tree written by :func:`save_payload`.
 
+    *path* may also be an open binary file (the store reads through its
+    own handle to know which file it read).
+
     Raises on any structural problem (missing manifest, bad JSON, missing
     array members, truncated zip) — callers that need corruption
     *tolerance* catch and treat it as absence, as :mod:`repro.store`
     does.  ``allow_pickle=False``: payload files cannot execute code.
     """
-    with np.load(os.fspath(path), allow_pickle=False) as archive:
+    source = path if hasattr(path, "read") else os.fspath(path)
+    with np.load(source, allow_pickle=False) as archive:
         if "__manifest__" not in archive.files:
             raise ValidationError(
                 f"{path} is not a repro payload file (no manifest)"

@@ -96,6 +96,11 @@ def _entry_lock(entry_dir):
         handle.close()
 
 
+def _identity(path):
+    info = os.stat(path)
+    return info.st_dev, info.st_ino
+
+
 _TTL_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
@@ -266,8 +271,14 @@ class ModelStore:
 
     # -- load / store --------------------------------------------------------
 
-    def _quarantine(self, path):
+    def _quarantine(self, path, identity=None):
         """Move a broken file aside so it is not re-parsed every query.
+
+        With *identity* (the ``(st_dev, st_ino)`` of the file that
+        failed) only that file is moved: the check and the rename run
+        under the entry lock, which :meth:`store` also holds to publish
+        an artifact, so a fresh artifact a concurrent writer published
+        after the failed read is never quarantined in its place.
 
         Repeated corruption of the same entry must not overwrite the
         evidence: when ``<path>.corrupt`` already exists the quarantine
@@ -275,25 +286,49 @@ class ModelStore:
         counted (:meth:`stats`) so operators notice a store that keeps
         re-corrupting.
         """
-        target = f"{path}.corrupt"
-        if os.path.exists(target):
-            self.quarantine_collisions += 1
-            suffix = 1
-            while os.path.exists(f"{target}.{suffix}"):
-                suffix += 1
-            target = f"{target}.{suffix}"
         try:
-            os.replace(path, target)
+            with _entry_lock(os.path.dirname(path)):
+                if identity is not None and _identity(path) != identity:
+                    return
+                target = f"{path}.corrupt"
+                if os.path.exists(target):
+                    self.quarantine_collisions += 1
+                    suffix = 1
+                    while os.path.exists(f"{target}.{suffix}"):
+                        suffix += 1
+                    target = f"{target}.{suffix}"
+                os.replace(path, target)
         except OSError:
-            pass  # racing writer replaced it, or FS refuses: still a miss
+            pass  # entry gone, or FS refuses: still a miss
+
+    @staticmethod
+    def _read(path):
+        """One load attempt: ``(artifact, identity, error)``.
+
+        *identity* is the ``(st_dev, st_ino)`` of the file actually
+        read, so a failure can be told apart from a concurrent
+        overwrite.  Raises :class:`OSError` when the file cannot be
+        opened at all.
+        """
+        with open(path, "rb") as handle:
+            info = os.fstat(handle.fileno())
+            identity = (info.st_dev, info.st_ino)
+            try:
+                artifact = ReductionArtifact.load(handle, verify=True)
+            except Exception as exc:
+                return None, identity, exc
+        return artifact, identity, None
 
     def load(self, key, touch=True):
         """Artifact for *key*, or ``None`` on miss/corruption/schema skew.
 
-        Never raises for a bad entry: any failure (unreadable archive,
-        schema mismatch, failed basis-hash verification) quarantines the
-        file, bumps the ``corrupt`` counter and reads as a miss so the
-        caller recomputes.
+        Never raises for a bad entry: a file that fails to load twice
+        in a row (unreadable archive, failed basis-hash verification)
+        is quarantined, bumps the ``corrupt`` counter and reads as a
+        miss so the caller recomputes.  A failure on a file that a
+        concurrent :meth:`store` has replaced since is retried on the
+        new file, so readers never see a miss while a key is
+        overwritten.
 
         Successful loads record a last-access timestamp in the entry's
         ``meta.json`` (atomic, best-effort; *touch=False* skips it) —
@@ -301,22 +336,27 @@ class ModelStore:
         hot-cache warm start key on.
         """
         path = self.artifact_path(key)
-        if not path.exists():
-            return None
-        try:
-            artifact = ReductionArtifact.load(path, verify=True)
-        except SchemaMismatchError:
-            # Incompatible-but-intact entry written by another library
-            # version: recompute-and-overwrite, don't quarantine what
-            # that version can still read.
-            return None
-        except Exception:
-            self.corrupt += 1
-            self._quarantine(path)
-            return None
-        if touch:
-            self._touch_meta(key)
-        return artifact
+        failed = None
+        for _ in range(3):
+            try:
+                artifact, identity, error = self._read(path)
+            except OSError:
+                return None  # absent (or unreadable): a plain miss
+            if error is None:
+                if touch:
+                    self._touch_meta(key)
+                return artifact
+            if isinstance(error, SchemaMismatchError):
+                # Incompatible-but-intact entry written by another
+                # library version: recompute-and-overwrite, don't
+                # quarantine what that version can still read.
+                return None
+            if identity == failed:
+                self.corrupt += 1
+                self._quarantine(path, identity)
+                return None
+            failed = identity
+        return None
 
     def _touch_meta(self, key):
         """Record "now" as *key*'s last access in ``meta.json``.
@@ -411,19 +451,30 @@ class ModelStore:
         entry = self._entry_dir(key)
         entry.mkdir(parents=True, exist_ok=True)
         path = entry / "artifact.npz"
-        artifact.save(path)
-        fault_point("store.before_meta")
         meta = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "provenance": json_safe(artifact.provenance),
             "last_access_unix": float(time.time()),
         }
-        with _entry_lock(entry):
-            durable_write(
-                entry / "meta.json",
-                json.dumps(meta, indent=2, default=repr) + "\n",
-            )
+        # The archive is written (and fsync'd) under a private name and
+        # published under the entry lock, where a reader's quarantine
+        # checks which file failed (see _quarantine).
+        fd, staged = tempfile.mkstemp(prefix="artifact.npz.staged", dir=entry)
+        os.close(fd)
+        try:
+            artifact.save(staged)
+            with _entry_lock(entry):
+                os.replace(staged, path)
+                fault_point("store.before_meta")
+                durable_write(
+                    entry / "meta.json",
+                    json.dumps(meta, indent=2, default=repr) + "\n",
+                )
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
+            raise
         return path
 
     # -- the serving entry point ---------------------------------------------
@@ -489,17 +540,17 @@ class ModelStore:
         for key in self.keys():
             path = self.artifact_path(key)
             try:
-                ReductionArtifact.load(path, verify=True)
-            except Exception as exc:
-                bad += 1
-                self.corrupt += 1
-                if quarantine:
-                    self._quarantine(path)
-                entries.append(
-                    {"key": key, "ok": False, "error": str(exc)}
-                )
-            else:
+                _, identity, error = self._read(path)
+            except OSError as exc:
+                identity, error = None, exc
+            if error is None:
                 entries.append({"key": key, "ok": True})
+                continue
+            bad += 1
+            self.corrupt += 1
+            if quarantine:
+                self._quarantine(path, identity)
+            entries.append({"key": key, "ok": False, "error": str(error)})
         return {
             "checked": len(entries),
             "ok": len(entries) - bad,

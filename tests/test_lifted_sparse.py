@@ -226,6 +226,51 @@ class TestSoftFloorAtRoundCap:
         assert solver.stats["soft_accepts"] == 0
 
 
+class TestPiRoundSchedule:
+    """The Π iteration solves only the rounds the exact-residual decay
+    says can pass; the answer and the stopping test are unchanged."""
+
+    N = 256  # the benchmark ladder regime: r=10, g_leak=1, quad_nodes=8
+
+    def test_ladder_skips_rounds_that_cannot_pass(self):
+        system = low_rank_ladder(self.N)
+        ws = AssociatedWorkspace.for_system(system)
+        fpi = ws.pi
+        assert fpi.rank == 18
+        assert ws.lowrank_kron.stats["pi_iterations"] <= 4
+        assert ws.lowrank_kron.stats["soft_accepts"] == 0
+        assert ws.resolvent.sparse_lu_stats["real"] <= 420
+        assert pi_sylvester_residual(system.g1, system.g2, fpi) \
+            <= 1e-12 * fpi.rhs_norm
+
+    def test_capped_basis_stall_still_raises(self):
+        system = low_rank_ladder(self.N)
+        solver = make_solver(system, tol=1e-12, tol_floor=1e-9)
+        with pytest.raises(NumericalError, match="dimension 14 .cap 14"):
+            solver.solve_pi(system.g2, max_rank=14)
+        assert solver.stats["soft_accepts"] == 0
+
+    def test_capped_basis_is_solved_and_soft_accepted(self):
+        system = low_rank_ladder(self.N)
+        solver = make_solver(system, tol=1e-12, tol_floor=1e-9)
+        fpi = solver.solve_pi(system.g2, max_rank=16)
+        assert fpi.rank == 16
+        assert solver.stats["soft_accepts"] == 1
+        true = pi_sylvester_residual(system.g1, system.g2, fpi)
+        assert 1e-12 * fpi.rhs_norm < true <= 1e-9 * fpi.rhs_norm
+
+    @pytest.mark.parametrize("history, ahead", [
+        ([], 1),
+        ([(0, 1e-2)], 1),
+        ([(0, 1e-2), (1, 2e-2)], 1),             # not decaying
+        ([(0, 1e-2), (1, float("nan"))], 1),     # not finite
+        ([(0, 4.3e-2), (1, 8.5e-5)], 3),         # ladder: ranks 8, 10 → 16
+        ([(1, 8.5e-5), (4, 7.3e-12)], 1),        # ladder: rank 16 → 18
+    ])
+    def test_extension_forecast(self, history, ahead):
+        assert syl._pi_extensions_ahead(history, 1e-12) == ahead
+
+
 class TestLowRankPi:
     N = 150
 

@@ -13,10 +13,12 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.analysis import distortion_sweep, single_tone_distortion
 from repro.errors import NumericalError
 from repro.linalg import ResolventFactory
+from repro.linalg import lu as lu_mod
 from repro.simulation import JacobianCache, newton_solve, simulate, sine_source
 from repro.systems import QLDAE
 from repro.volterra import (
@@ -165,6 +167,75 @@ class TestResolventFactory:
             small_qldae.b.astype(complex),
         )
         assert np.allclose(f3.solve(1.0, small_qldae.b), expected)
+
+
+def _hollow_tridiagonal(n, upper=0.7, lower=0.3, keep_diag=()):
+    """Tridiagonal matrix with no structural diagonal entries except
+    at *keep_diag* (like the cubic H3 ladder's state matrix)."""
+    mat = sp.diags([np.full(n - 1, upper), np.full(n - 1, lower)], [1, -1],
+                   format="lil")
+    for idx in keep_diag:
+        mat[idx, idx] = -1.0 - 0.1 * idx
+    return sp.csr_matrix(mat)
+
+
+class TestShiftRefactor:
+    """The per-shift refactorization writes values into one permuted
+    pattern of ``A + I``; these pin its numerics and its counters."""
+
+    @pytest.mark.parametrize("shift", [2.5, -0.35, 1.0 + 2.0j, -0.5j])
+    def test_missing_diagonal_matches_spsolve(self, rng, shift):
+        a = _hollow_tridiagonal(30, keep_diag=(3, 17))
+        stored = set(zip(*a.nonzero()))
+        assert {(i, i) for i in range(30)} & stored == {(3, 3), (17, 17)}
+        rhs = rng.standard_normal((30, 2)).astype(complex)
+        shifted = shift * sp.identity(30) - a.astype(complex)
+        expected = spla.spsolve(sp.csc_matrix(shifted), rhs)
+        expected_t = spla.spsolve(sp.csc_matrix(shifted.T), rhs)
+        lu_mod._SYMBOLIC_CACHE.clear()
+        for reused in (False, True):  # fresh analysis, then shared one
+            factory = ResolventFactory(a)
+            x = factory.solve(shift, rhs)
+            xt = factory.solve_transpose(shift, rhs)
+            stats = factory.sparse_lu_stats
+            assert stats["symbolic_reuses"] == int(reused)
+            assert np.abs(x - expected).max() \
+                <= 1e-12 * np.abs(expected).max()
+            assert np.abs(xt - expected_t).max() \
+                <= 1e-12 * np.abs(expected_t).max()
+
+    def test_shift_on_spectrum_trips_pivot_guard(self):
+        a = _hollow_tridiagonal(12)
+        eig = np.sort(np.linalg.eigvals(a.toarray()).real)
+        factory = ResolventFactory(a)
+        factory.solve(0.25 * (eig[1] + eig[2]), np.ones(12))  # regular
+        with pytest.raises(NumericalError, match="numerically singular"):
+            factory.solve(eig[2], np.ones(12))
+        assert factory.sparse_lu_stats["real"] == 1  # failures uncounted
+
+    def test_counters_across_two_factories_over_one_pattern(self, rng):
+        lu_mod._SYMBOLIC_CACHE.clear()
+        a = _hollow_tridiagonal(20, keep_diag=(0, 5))
+        b = _hollow_tridiagonal(20, upper=0.6, lower=0.4, keep_diag=(0, 5))
+        rhs = rng.standard_normal(20)
+        first = ResolventFactory(a)
+        first.solve(1.5, rhs)
+        first.solve(1.5, rhs)  # LU cache hit: no new factorization
+        first.solve(0.5 + 1.0j, rhs)
+        assert first.sparse_lu_stats == {
+            "real": 1, "complex": 1,
+            "symbolic_analyses": 1, "symbolic_reuses": 1,
+        }
+        second = ResolventFactory(b)
+        x = second.solve(1.5, rhs)
+        second.solve(2.0, rhs)
+        second.solve(0.5 + 1.0j, rhs)
+        assert second.sparse_lu_stats == {
+            "real": 2, "complex": 1,
+            "symbolic_analyses": 0, "symbolic_reuses": 3,
+        }
+        dense = 1.5 * np.eye(20) - b.toarray()
+        assert np.abs(x - np.linalg.solve(dense, rhs)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

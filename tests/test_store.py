@@ -183,6 +183,47 @@ class TestStoreSemantics:
         _, hit2 = store.reduce(system, reducer)
         assert hit2 is True
 
+    def test_quarantine_spares_a_file_published_after_the_failed_read(
+        self, tmp_path
+    ):
+        """A reader's quarantine moves only the file that failed: an
+        artifact a concurrent writer published in the meantime stays
+        servable."""
+        store = ModelStore(tmp_path / "store")
+        system = ladder(24).compile()
+        reducer = AssociatedTransformMOR(orders=(4, 2, 0))
+        art, _ = store.reduce(system, reducer)
+        key = store.key_for(system, reducer)
+        path = store.artifact_path(key)
+        failed = (path.stat().st_dev, path.stat().st_ino)
+        store.store(key, art)  # a writer republishes the key
+        store._quarantine(str(path), failed)
+        assert not list(path.parent.glob("*.corrupt*"))
+        assert store.load(key) is not None
+
+    def test_transient_read_failure_is_retried_not_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        store = ModelStore(tmp_path / "store")
+        system = ladder(24).compile()
+        reducer = AssociatedTransformMOR(orders=(4, 2, 0))
+        store.reduce(system, reducer)
+        key = store.key_for(system, reducer)
+        real_load = ReductionArtifact.load.__func__
+        calls = []
+
+        def flaky(cls, source, verify=True):
+            calls.append(source)
+            if len(calls) == 1:
+                raise OSError("transient read error")
+            return real_load(cls, source, verify=verify)
+
+        monkeypatch.setattr(ReductionArtifact, "load", classmethod(flaky))
+        assert store.load(key) is not None
+        assert len(calls) == 2
+        assert store.stats()["corrupt"] == 0
+        assert store.artifact_path(key).exists()
+
     def test_meta_json_is_queryable(self, tmp_path):
         store = ModelStore(tmp_path / "store")
         system = ladder(24).compile()
